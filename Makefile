@@ -136,10 +136,11 @@ bench-analysis:
 
 # The out-of-core storage suite: segment ingest, k-way compaction, v2
 # encode, load (materialize vs verified mmap vs unverified mmap), and
-# the two kernel access patterns (sequential sweep, random row probes)
-# over both backends, recorded as a JSON baseline future PRs can diff
-# against. `make paperscale` later merges its rows into the same file
-# without disturbing these.
+# the kernel access patterns (sequential sweep, random row probes,
+# arc probes) over both backends, recorded as a JSON baseline future
+# PRs can diff against. `make paperscale` merges its rows into the same
+# file; each target replaces only the rows it measured, so the two can
+# run in either order.
 bench-storage:
 	$(GO) test -run '^$$' -bench 'BenchmarkStorage' -benchmem -benchtime=1x -count=1 -timeout 30m ./internal/graph/diskcsr \
 	    | $(GO) run ./cmd/benchjson -out BENCH_storage.json
@@ -170,9 +171,12 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/gplusd/
 
 # The quick fuzz leg of `make check`: the checkpoint/journal parser is
-# the one format a crash can hand arbitrary torn bytes to.
+# the one format a crash can hand arbitrary torn bytes to, and the v2
+# graph file is what any caller hands Open — including the bytes the
+# lazy row decoder and the early-exit arc probe read after it.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz=FuzzReadResult -fuzztime=10s ./internal/crawler/
+	$(GO) test -run '^$$' -fuzz=FuzzOpenV2 -fuzztime=10s ./internal/graph/diskcsr/
 
 # Generate a dataset and audit it against the paper's published claims.
 verify:

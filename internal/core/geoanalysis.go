@@ -230,14 +230,16 @@ func (s *Study) PathMiles() PathMileResult {
 
 	friends := stats.NewReservoir[[2]graph.NodeID](s.opts.PairSample, rng)
 	reciprocal := stats.NewReservoir[[2]graph.NodeID](s.opts.PairSample, rng)
+	var row []graph.NodeID
 	for _, u := range located {
-		for _, v := range s.g.Out(u) {
+		row = s.g.Out(u, row...)
+		for _, v := range row {
 			if !isLocated[v] {
 				continue
 			}
 			pair := [2]graph.NodeID{u, v}
 			friends.Add(pair)
-			if graph.HasArc(s.g, v, u) {
+			if s.g.HasArc(v, u) {
 				reciprocal.Add(pair)
 			}
 		}
@@ -260,7 +262,7 @@ func (s *Study) PathMiles() PathMileResult {
 		for attempts := 0; len(res.Random) < s.opts.PairSample && attempts < 20*s.opts.PairSample; attempts++ {
 			u := located[rng.IntN(len(located))]
 			v := located[rng.IntN(len(located))]
-			if u == v || graph.HasArc(s.g, u, v) || graph.HasArc(s.g, v, u) {
+			if u == v || s.g.HasArc(u, v) || s.g.HasArc(v, u) {
 				continue
 			}
 			res.Random = append(res.Random, dist([2]graph.NodeID{u, v}))
@@ -292,6 +294,7 @@ func (s *Study) AveragePathMiles() []CountryPathMile {
 			isLocated[node] = true
 		}
 	})
+	var row []graph.NodeID
 	s.eachCrawled(func(u graph.NodeID) {
 		p := &s.ds.Profiles[u]
 		if !p.HasLocation() {
@@ -301,7 +304,8 @@ func (s *Study) AveragePathMiles() []CountryPathMile {
 		if !ok {
 			return
 		}
-		for _, v := range s.g.Out(u) {
+		row = s.g.Out(u, row...)
+		for _, v := range row {
 			if !isLocated[v] {
 				continue
 			}
@@ -379,12 +383,14 @@ func (s *Study) CountryLinks() CountryLinkMatrix {
 	}
 
 	rowTotals := make([]float64, n)
+	var row []graph.NodeID
 	for u := 0; u < s.ds.NumUsers(); u++ {
 		cu := countryOf[u]
 		if cu < 0 {
 			continue
 		}
-		for _, v := range s.g.Out(graph.NodeID(u)) {
+		row = s.g.Out(graph.NodeID(u), row...)
+		for _, v := range row {
 			cv := countryOf[v]
 			if cv < 0 {
 				continue

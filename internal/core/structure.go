@@ -212,8 +212,7 @@ func (s *Study) Motifs() (MotifResult, error) {
 func (s *Study) motifs(ctx context.Context) (MotifResult, error) {
 	_, finish := s.stage(ctx, "motifs")
 	defer finish()
-	tri := graph.Triangles(s.g, graph.TriangleAuto, s.opts.Parallelism)
-	census := graph.Motifs(s.g, s.opts.Parallelism)
+	tri, census := graph.TrianglesAndMotifs(s.g, graph.TriangleAuto, s.opts.Parallelism)
 	if got := census.Triangles(); got != tri.Total {
 		return MotifResult{}, fmt.Errorf(
 			"motif census disagrees with triangle kernel %v: %d closed triads vs %d triangles",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -234,12 +235,15 @@ func TestTraceDemo(t *testing.T) {
 	u := crawlUniverse(t)
 
 	var exemplars bytes.Buffer
+	var exMu sync.Mutex // the sink runs outside the recorder lock, concurrently
 	clientRec := trace.NewRecorder(0, trace.Rules{
 		SlowerThan: 200 * time.Millisecond,
 		Errors:     true,
 		MinRetries: 3,
 	})
 	clientRec.SetSink(func(tr *trace.Trace) {
+		exMu.Lock()
+		defer exMu.Unlock()
 		trace.WriteTraceJSONL(&exemplars, tr) //nolint:errcheck — buffer writes cannot fail
 	})
 	clientTr := trace.New(trace.Config{Recorder: clientRec})

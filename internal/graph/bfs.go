@@ -30,36 +30,58 @@ func (d Direction) String() string {
 // unreachable nodes. The dist slice may be passed in to avoid allocation;
 // if it is nil or too short a new slice is allocated.
 func BFSDistances(g View, src NodeID, dir Direction, dist []int32) []int32 {
+	s := bfsScratch{dist: dist}
+	return s.run(g, src, true, dir == Undirected)
+}
+
+// bfsScratch is one goroutine's reusable BFS state — distances, queue
+// and row buffer — so a run of many sources allocates only while the
+// buffers are still growing.
+type bfsScratch struct {
+	dist  []int32
+	queue []NodeID
+	row   []NodeID
+}
+
+// run fills and returns s.dist with hop distances from src, following
+// out-edges when out is set and in-edges when in is set.
+func (s *bfsScratch) run(g View, src NodeID, out, in bool) []int32 {
 	n := g.NumNodes()
-	if cap(dist) < n {
-		dist = make([]int32, n)
+	if cap(s.dist) < n {
+		s.dist = make([]int32, n)
 	}
-	dist = dist[:n]
+	dist := s.dist[:n]
 	for i := range dist {
 		dist[i] = -1
 	}
-	queue := make([]NodeID, 0, 1024)
-	queue = append(queue, src)
+	queue, row := append(s.queue[:0], src), s.row
 	dist[src] = 0
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		du := dist[u]
-		for _, v := range g.Out(u) {
-			if dist[v] < 0 {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
+		du := dist[u] + 1
+		if out {
+			row = g.Out(u, row...)
+			queue = relax(row, dist, du, queue)
 		}
-		if dir == Undirected {
-			for _, v := range g.In(u) {
-				if dist[v] < 0 {
-					dist[v] = du + 1
-					queue = append(queue, v)
-				}
-			}
+		if in {
+			row = g.In(u, row...)
+			queue = relax(row, dist, du, queue)
 		}
 	}
+	s.dist, s.queue, s.row = dist, queue, row
 	return dist
+}
+
+// relax sets every still-unreached node of row to distance d and
+// queues it.
+func relax(row []NodeID, dist []int32, d int32, queue []NodeID) []NodeID {
+	for _, v := range row {
+		if dist[v] < 0 {
+			dist[v] = d
+			queue = append(queue, v)
+		}
+	}
+	return queue
 }
 
 // PathLengthDist is an estimated distribution of pairwise hop distances.
@@ -183,7 +205,7 @@ func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengt
 	}
 
 	var prevProb []float64
-	scratch := make([][]int32, opt.Parallelism)
+	scratch := make([]bfsScratch, opt.Parallelism)
 	for res.Sources < opt.MaxSources {
 		batch := opt.BatchSize
 		if res.Sources+batch > opt.MaxSources {
@@ -220,7 +242,7 @@ func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengt
 // bfsBatch runs BFS from each source, fanned out over len(scratch)
 // goroutines, and returns the summed distance histogram along with how
 // many sources actually completed (fewer than len(sources) only when the
-// context was cancelled mid-batch). Each worker reuses a distance slice
+// context was cancelled mid-batch). Each worker reuses its scratch
 // between sources.
 //
 // The pair (histogram, done) always means "the first done sources, in
@@ -233,7 +255,7 @@ func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengt
 // Instead each source keeps its own histogram and only the longest
 // fully-completed prefix merges — completed work beyond the first gap is
 // discarded, exactly as if the serial scan had been cancelled there.
-func bfsBatch(ctx context.Context, g View, dir Direction, sources []NodeID, scratch [][]int32) ([]int64, int) {
+func bfsBatch(ctx context.Context, g View, dir Direction, sources []NodeID, scratch []bfsScratch) ([]int64, int) {
 	workers := len(scratch)
 	if workers <= 1 || len(sources) < 2 {
 		return bfsBatchSeq(ctx, g, dir, sources, &scratch[0])
@@ -250,9 +272,8 @@ func bfsBatch(ctx context.Context, g View, dir Direction, sources []NodeID, scra
 				if ctx.Err() != nil {
 					return
 				}
-				scratch[w] = BFSDistances(g, sources[i], dir, scratch[w])
 				var counts []int64
-				for _, d := range scratch[w] {
+				for _, d := range scratch[w].run(g, sources[i], true, dir == Undirected) {
 					if d < 0 {
 						continue
 					}
@@ -285,14 +306,13 @@ func bfsBatch(ctx context.Context, g View, dir Direction, sources []NodeID, scra
 
 // bfsBatchSeq runs BFS from each source in order and returns the summed
 // histogram plus the number of sources it finished before cancellation.
-func bfsBatchSeq(ctx context.Context, g View, dir Direction, sources []NodeID, dist *[]int32) ([]int64, int) {
+func bfsBatchSeq(ctx context.Context, g View, dir Direction, sources []NodeID, s *bfsScratch) ([]int64, int) {
 	var counts []int64
 	for i, src := range sources {
 		if ctx.Err() != nil {
 			return counts, i
 		}
-		*dist = BFSDistances(g, src, dir, *dist)
-		for _, d := range *dist {
+		for _, d := range s.run(g, src, true, dir == Undirected) {
 			if d < 0 {
 				continue
 			}
@@ -345,15 +365,13 @@ func DoubleSweepDiameter(g View, dir Direction, sweeps int, rng *rand.Rand) int 
 		sweeps = 4
 	}
 	best := 0
-	var dist []int32
+	var scratch bfsScratch
 	for s := 0; s < sweeps; s++ {
 		src := NodeID(rng.IntN(n))
 		for hop := 0; hop < 2; hop++ {
-			if dir == Directed && hop == 1 {
-				dist = bfsReverse(g, src, dist)
-			} else {
-				dist = BFSDistances(g, src, dir, dist)
-			}
+			// The directed second sweep runs over in-edges only.
+			reverse := dir == Directed && hop == 1
+			dist := scratch.run(g, src, !reverse, dir == Undirected || reverse)
 			far, farD := src, int32(0)
 			for v, d := range dist {
 				if d > farD {
@@ -367,30 +385,4 @@ func DoubleSweepDiameter(g View, dir Direction, sweeps int, rng *rand.Rand) int 
 		}
 	}
 	return best
-}
-
-// bfsReverse is BFSDistances over the transpose graph (in-edges).
-func bfsReverse(g View, src NodeID, dist []int32) []int32 {
-	n := g.NumNodes()
-	if cap(dist) < n {
-		dist = make([]int32, n)
-	}
-	dist = dist[:n]
-	for i := range dist {
-		dist[i] = -1
-	}
-	queue := make([]NodeID, 0, 1024)
-	queue = append(queue, src)
-	dist[src] = 0
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		du := dist[u]
-		for _, v := range g.In(u) {
-			if dist[v] < 0 {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
 }

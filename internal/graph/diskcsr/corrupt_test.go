@@ -107,6 +107,10 @@ func TestOpenRejectsCorruption(t *testing.T) {
 			},
 			"out of range",
 		},
+		"wrapping gap": {
+			func([]byte) []byte { return wrappingGapFile() },
+			"out of range",
+		},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -120,6 +124,26 @@ func TestOpenRejectsCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// wrappingGapFile is an otherwise consistent v2 file (3 nodes, arcs
+// 0->1 and 0->2) whose node 0 out-row claims id 1 and then a gap of
+// 2^64-1, which a running sum would wrap back to id 1: a non-ascending
+// row that every bound check on the sum alone accepts.
+func wrappingGapFile() []byte {
+	out := binary.AppendUvarint(binary.AppendUvarint(nil, 1), ^uint64(0))
+	in := []byte{0, 0} // in(1) = in(2) = [0]
+	h := header{n: 3, m: 2, outBlobLen: uint64(len(out)), inBlobLen: uint64(len(in))}
+	data := h.marshal()
+	for _, arr := range [][]uint64{
+		{0, 2, 2, 2}, {0, uint64(len(out)), uint64(len(out)), uint64(len(out))},
+		{0, 0, 1, 2}, {0, 0, 1, 2},
+	} {
+		for _, v := range arr {
+			data = binary.LittleEndian.AppendUint64(data, v)
+		}
+	}
+	return append(append(data, out...), in...)
 }
 
 // TestCompactRejectsTornSegment pins the crash-mid-flush story: a
@@ -159,7 +183,9 @@ func TestCompactRejectsTornSegment(t *testing.T) {
 
 // FuzzOpenV2 feeds arbitrary bytes through the full Open validation:
 // it must never panic, and anything accepted must materialize into a
-// graph that passes Validate and round-trips through WriteGraph.
+// graph that passes Validate and round-trips through WriteGraph, and
+// whose lazy row accessors and early-exit HasArc answer exactly as the
+// materialized graph does.
 func FuzzOpenV2(f *testing.F) {
 	f.Add(v2Bytes(f))
 	f.Add([]byte{})
@@ -186,6 +212,7 @@ func FuzzOpenV2(f *testing.F) {
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted graph fails validation: %v", err)
 		}
+		mappedMatches(t, m, g)
 		path := filepath.Join(t.TempDir(), "again.v2")
 		if err := WriteGraph(path, m); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
@@ -203,4 +230,33 @@ func FuzzOpenV2(f *testing.F) {
 			t.Fatal("accepted graph does not round trip")
 		}
 	})
+}
+
+// mappedMatches checks m's buffered rows and arc probes against its
+// materialized graph g: every row, and HasArc over every ordered pair
+// among the first 64 nodes plus every arc of the graph.
+func mappedMatches(t *testing.T, m *Mapped, g *graph.Graph) {
+	t.Helper()
+	n := g.NumNodes()
+	var out, in []graph.NodeID
+	for u := 0; u < n; u++ {
+		id := graph.NodeID(u)
+		out, in = m.Out(id, out...), m.In(id, in...)
+		if !rowsEqual(out, g.Out(id)) || !rowsEqual(in, g.In(id)) {
+			t.Fatalf("node %d: mapped rows %v/%v, materialized %v/%v", u, out, in, g.Out(id), g.In(id))
+		}
+		for _, v := range g.Out(id) {
+			if !m.HasArc(id, v) {
+				t.Fatalf("HasArc(%d, %d) = false for an arc of the graph", u, v)
+			}
+		}
+	}
+	for u := 0; u < min(n, 64); u++ {
+		for v := 0; v < min(n, 64); v++ {
+			a, b := graph.NodeID(u), graph.NodeID(v)
+			if got, want := m.HasArc(a, b), g.HasEdge(a, b); got != want {
+				t.Fatalf("HasArc(%d, %d) = %v, materialized graph says %v", u, v, got, want)
+			}
+		}
+	}
 }

@@ -118,27 +118,62 @@ func appendRow(dst []byte, row []graph.NodeID) []byte {
 
 // decodeRow appends count neighbors decoded from blob to dst, returning
 // the extended slice and the bytes consumed. n bounds node ids; any
-// malformed varint, non-ascending step, or out-of-range id is an error.
+// malformed varint or out-of-range id is an error.
 func decodeRow(blob []byte, count int, n uint64, dst []graph.NodeID) ([]graph.NodeID, int, error) {
-	used := 0
-	prev := uint64(0)
+	c := rowCursor{blob: blob, n: n}
 	for i := 0; i < count; i++ {
-		v, k := binary.Uvarint(blob[used:])
-		if k <= 0 {
-			return dst, used, fmt.Errorf("diskcsr: truncated varint at row element %d", i)
+		v, err := c.next(i)
+		if err != nil {
+			return dst, c.used, err
 		}
-		used += k
-		if i == 0 {
-			prev = v
-		} else {
-			prev += v + 1
-		}
-		if prev >= n {
-			return dst, used, fmt.Errorf("diskcsr: neighbor %d out of range (n=%d)", prev, n)
-		}
-		dst = append(dst, graph.NodeID(prev))
+		dst = append(dst, v)
 	}
-	return dst, used, nil
+	return dst, c.used, nil
+}
+
+// rowContains reports whether target is among the count neighbors
+// encoded in blob. Rows ascend, so the scan stops at the first id >=
+// target; every element it reads gets decodeRow's checks.
+func rowContains(blob []byte, count int, n uint64, target graph.NodeID) (bool, error) {
+	c := rowCursor{blob: blob, n: n}
+	for i := 0; i < count; i++ {
+		v, err := c.next(i)
+		if err != nil {
+			return false, err
+		}
+		if v >= target {
+			return v == target, nil
+		}
+	}
+	return false, nil
+}
+
+// rowCursor steps through one encoded row: the first id as a plain
+// uvarint, every later one as its gap to the previous id minus one.
+type rowCursor struct {
+	blob []byte
+	n    uint64
+	used int
+	prev uint64
+}
+
+// next decodes element i. Each value — the first id or a gap — must be
+// below n before it is added, so a hostile gap can neither overflow the
+// running id nor wrap it back below its predecessor.
+func (c *rowCursor) next(i int) (graph.NodeID, error) {
+	v, k := binary.Uvarint(c.blob[c.used:])
+	if k <= 0 {
+		return 0, fmt.Errorf("diskcsr: truncated varint at row element %d", i)
+	}
+	c.used += k
+	if v < c.n && i > 0 {
+		v += c.prev + 1
+	}
+	if v >= c.n {
+		return 0, fmt.Errorf("diskcsr: neighbor %d out of range (n=%d)", v, c.n)
+	}
+	c.prev = v
+	return graph.NodeID(v), nil
 }
 
 func uvarintLen(v uint64) int {

@@ -1,6 +1,7 @@
 package diskcsr
 
 import (
+	"context"
 	"math/rand/v2"
 	"path/filepath"
 	"reflect"
@@ -126,12 +127,55 @@ func TestWorkPrefixMatchesGraph(t *testing.T) {
 
 // TestKernelEquivalence is the tentpole's acceptance contract in
 // miniature: every analysis kernel must produce byte-identical results
-// over the mapped backend, at multiple parallelism levels.
+// over the mapped backend, at multiple parallelism levels. The mapped
+// backend decodes into reused per-goroutine buffers, so a kernel that
+// holds a row across a second read of the same buffer diverges here.
 func TestKernelEquivalence(t *testing.T) {
 	for name, g := range testGraphs() {
 		t.Run(name, func(t *testing.T) {
 			m := mustOpen(t, t.TempDir(), g)
+			paths := func(v graph.View, dir graph.Direction, par int) any {
+				return graph.SamplePathLengths(context.Background(), v, dir, graph.PathLengthOptions{
+					MinSources: 8, MaxSources: 40, BatchSize: 8, Parallelism: par,
+					Rand: rand.New(rand.NewPCG(3, 4)),
+				})
+			}
 			kernels := map[string]func(v graph.View, par int) any{
+				"SamplePathLengths/directed":   func(v graph.View, par int) any { return paths(v, graph.Directed, par) },
+				"SamplePathLengths/undirected": func(v graph.View, par int) any { return paths(v, graph.Undirected, par) },
+				"DoubleSweepDiameter/directed": func(v graph.View, _ int) any {
+					return graph.DoubleSweepDiameter(v, graph.Directed, 6, rand.New(rand.NewPCG(7, 8)))
+				},
+				"DoubleSweepDiameter/undirected": func(v graph.View, _ int) any {
+					return graph.DoubleSweepDiameter(v, graph.Undirected, 6, rand.New(rand.NewPCG(7, 8)))
+				},
+				"BFSDistances": func(v graph.View, _ int) any {
+					var all [][]int32
+					var dist []int32
+					for u := 0; u < v.NumNodes(); u++ {
+						for _, dir := range []graph.Direction{graph.Directed, graph.Undirected} {
+							dist = graph.BFSDistances(v, graph.NodeID(u), dir, dist)
+							all = append(all, append([]int32(nil), dist...))
+						}
+					}
+					return all
+				},
+				"HasArc": func(v graph.View, _ int) any {
+					// Every ordered pair: the present arcs and all the
+					// absent ones, self-pairs included.
+					n := v.NumNodes()
+					has := make([]bool, 0, n*n)
+					for a := 0; a < n; a++ {
+						for b := 0; b < n; b++ {
+							has = append(has, v.HasArc(graph.NodeID(a), graph.NodeID(b)))
+						}
+					}
+					return has
+				},
+				"TrianglesAndMotifs": func(v graph.View, par int) any {
+					tri, census := graph.TrianglesAndMotifs(v, graph.TriangleAuto, par)
+					return []any{tri, census}
+				},
 				"InDegrees":         func(v graph.View, par int) any { return graph.InDegrees(v, par) },
 				"OutDegrees":        func(v graph.View, par int) any { return graph.OutDegrees(v, par) },
 				"TopByInDegree":     func(v graph.View, par int) any { return graph.TopByInDegree(v, 10, par) },
@@ -148,7 +192,7 @@ func TestKernelEquivalence(t *testing.T) {
 				},
 			}
 			for kname, run := range kernels {
-				for _, par := range []int{1, 4} {
+				for _, par := range []int{1, 2, 8} {
 					want := run(g, par)
 					got := run(m, par)
 					if !reflect.DeepEqual(want, got) {
@@ -297,5 +341,36 @@ func TestWriterResume(t *testing.T) {
 	}
 	if stats.Edges != 2 {
 		t.Fatalf("want both flushes' edges, got %d", stats.Edges)
+	}
+}
+
+// TestMappedAccessAllocFree pins the buffer contract's point: once a
+// buffer is as long as the longest row, decoding rows into it and
+// probing arcs allocate nothing.
+func TestMappedAccessAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	g := testGraphs()["random"]
+	m := mustOpen(t, t.TempDir(), g)
+	n := m.NumNodes()
+	var buf []graph.NodeID
+	for u := 0; u < n; u++ { // warm the buffer to the longest row
+		buf = m.Out(graph.NodeID(u), buf...)
+		buf = m.In(graph.NodeID(u), buf...)
+	}
+	u := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		buf = m.Out(graph.NodeID(u%n), buf...)
+		buf = m.In(graph.NodeID(u%n), buf...)
+		u++
+	}); allocs != 0 {
+		t.Errorf("row decode into a warm buffer: %v allocs/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		_ = m.HasArc(graph.NodeID(u%n), graph.NodeID(u*7%n))
+		u++
+	}); allocs != 0 {
+		t.Errorf("HasArc: %v allocs/op, want 0", allocs)
 	}
 }

@@ -48,11 +48,15 @@ func WriteGraph(path string, g graph.View) error {
 	})
 }
 
-func sizeDirection(n int, row func(graph.NodeID) []graph.NodeID) (cnt, pos []uint64) {
+// rowFunc is a View's Out or In.
+type rowFunc = func(u graph.NodeID, buf ...graph.NodeID) []graph.NodeID
+
+func sizeDirection(n int, row rowFunc) (cnt, pos []uint64) {
 	cnt = make([]uint64, n+1)
 	pos = make([]uint64, n+1)
+	var r []graph.NodeID
 	for u := 0; u < n; u++ {
-		r := row(graph.NodeID(u))
+		r = row(graph.NodeID(u), r...)
 		cnt[u+1] = cnt[u] + uint64(len(r))
 		pos[u+1] = pos[u] + uint64(rowSize(r))
 	}
@@ -70,10 +74,12 @@ func writeUint64s(bw *bufio.Writer, arr []uint64) error {
 	return nil
 }
 
-func writeBlob(bw *bufio.Writer, n int, row func(graph.NodeID) []graph.NodeID) error {
+func writeBlob(bw *bufio.Writer, n int, row rowFunc) error {
 	var scratch []byte
+	var r []graph.NodeID
 	for u := 0; u < n; u++ {
-		scratch = appendRow(scratch[:0], row(graph.NodeID(u)))
+		r = row(graph.NodeID(u), r...)
+		scratch = appendRow(scratch[:0], r)
 		if _, err := bw.Write(scratch); err != nil {
 			return err
 		}

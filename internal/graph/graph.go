@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -41,16 +42,17 @@ func (g *Graph) NumNodes() int {
 func (g *Graph) NumEdges() int64 { return int64(len(g.outAdj)) }
 
 // Out returns the out-neighbors of u (the users u has added to circles).
-// The returned slice is shared with the graph and must not be modified.
-// Neighbors are sorted in ascending order.
-func (g *Graph) Out(u NodeID) []NodeID {
+// The returned slice is shared with the graph and must not be modified;
+// buf is ignored (it exists to satisfy View). Neighbors are sorted in
+// ascending order.
+func (g *Graph) Out(u NodeID, _ ...NodeID) []NodeID {
 	return g.outAdj[g.outOff[u]:g.outOff[u+1]]
 }
 
 // In returns the in-neighbors of u (the users that added u to circles).
-// The returned slice is shared with the graph and must not be modified.
-// Neighbors are sorted in ascending order.
-func (g *Graph) In(u NodeID) []NodeID {
+// The returned slice is shared with the graph and must not be modified;
+// buf is ignored. Neighbors are sorted in ascending order.
+func (g *Graph) In(u NodeID, _ ...NodeID) []NodeID {
 	return g.inAdj[g.inOff[u]:g.inOff[u+1]]
 }
 
@@ -70,6 +72,17 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	adj := g.Out(u)
 	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
 	return i < len(adj) && adj[i] == v
+}
+
+// HasArc implements View: whether u->v exists, binary-searching the
+// shorter of u's out-row and v's in-row so celebrity endpoints don't
+// slow the test.
+func (g *Graph) HasArc(u, v NodeID) bool {
+	if g.OutDegree(u) <= g.InDegree(v) {
+		return g.HasEdge(u, v)
+	}
+	_, ok := slices.BinarySearch(g.In(v), u)
+	return ok
 }
 
 // AvgDegree returns the average degree (edges / nodes). Because every

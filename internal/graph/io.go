@@ -33,8 +33,10 @@ func WriteBinary(w io.Writer, g View) error {
 			return err
 		}
 	}
+	var row []NodeID
 	for u := 0; u < n; u++ {
-		for _, v := range g.Out(NodeID(u)) {
+		row = g.Out(NodeID(u), row...)
+		for _, v := range row {
 			binary.LittleEndian.PutUint32(buf[:], v)
 			if _, err := bw.Write(buf[:]); err != nil {
 				return err

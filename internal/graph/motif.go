@@ -205,18 +205,20 @@ func choose3(n int64) int64 {
 // Motifs runs the exact directed triad census of g. The result is
 // byte-identical for any parallelism.
 func Motifs(g View, parallelism int) *MotifCensus {
-	return motifsOn(g, buildUndirected(g, parallelism), parallelism)
+	return motifsOn(buildUndirected(g, parallelism, true), parallelism)
 }
 
-func motifsOn(g View, u *undirected, parallelism int) *MotifCensus {
+// motifsOn runs the census over a tagged projection; the dyad tags
+// carry all the direction information it needs.
+func motifsOn(u *undirected, parallelism int) *MotifCensus {
 	n := u.numNodes()
 	m := &MotifCensus{Nodes: n}
 	if n == 0 {
 		return m
 	}
 
-	// dyad[v] classifies v's undirected neighbors w as mutual (v→w and
-	// w→v) or asymmetric, splitting asymmetric by direction. The three
+	// dyad[v] tallies v's undirected neighbors w by dyad kind: mutual
+	// (v→w and w→v) or asymmetric, split by direction. The three
 	// per-node tallies drive both the open-triad combinatorics and the
 	// dyad totals.
 	type dyadCounts struct{ out, in, mut int64 }
@@ -227,9 +229,16 @@ func motifsOn(g View, u *undirected, parallelism int) *MotifCensus {
 		var part [NumTriadClasses]int64
 		for v := lo; v < hi; v++ {
 			var d dyadCounts
-			intersectSorted(g.Out(NodeID(v)), g.In(NodeID(v)), func(NodeID) { d.mut++ })
-			d.out = int64(g.OutDegree(NodeID(v))) - d.mut
-			d.in = int64(g.InDegree(NodeID(v))) - d.mut
+			for _, k := range u.kinds(NodeID(v)) {
+				switch k {
+				case dyadOut:
+					d.out++
+				case dyadIn:
+					d.in++
+				default:
+					d.mut++
+				}
+			}
 			dyads[v] = d
 			// Open-triad combinatorics, v as center: each unordered
 			// pair of v's dyads forms a triple whose class, *assuming
@@ -251,53 +260,27 @@ func motifsOn(g View, u *undirected, parallelism int) *MotifCensus {
 		}
 	}
 
-	// Closed triads: enumerate each undirected triangle once (at its
-	// lowest-id corner), classify it by its three dyads, and retract
-	// the three open-class contributions its corners made above — each
-	// corner saw the other two as a dyad pair and miscounted the triple
-	// as open.
+	// Closed triads: enumerate each undirected triangle a < b < c once
+	// (at a), classify it by its three dyad tags, and retract the three
+	// open-class contributions its corners made above — each corner saw
+	// the other two as a dyad pair and miscounted the triple as open.
 	closedPartials := make([][NumTriadClasses]int64, len(bounds)-1)
 	runShards(bounds, func(shard, lo, hi int) {
 		var part [NumTriadClasses]int64
-		classify := func(a, b, c NodeID) {
-			part[triangleClass(g, a, b, c)]++
-			for _, corner := range [3][3]NodeID{{a, b, c}, {b, a, c}, {c, a, b}} {
-				center, p, q := corner[0], corner[1], corner[2]
-				pm := u2mut(g, center, p)
-				qm := u2mut(g, center, q)
-				switch {
-				case pm == dyadMut && qm == dyadMut:
-					part[Triad201]--
-				case pm == dyadMut || qm == dyadMut:
-					// One mutual, one asymmetric: direction of the
-					// asymmetric arc picks 111U (outgoing) vs 111D.
-					other := pm
-					if pm == dyadMut {
-						other = qm
-					}
-					if other == dyadOut {
-						part[Triad111U]--
-					} else {
-						part[Triad111D]--
-					}
-				case pm == dyadOut && qm == dyadOut:
-					part[Triad021D]--
-				case pm == dyadIn && qm == dyadIn:
-					part[Triad021U]--
-				default:
-					part[Triad021C]--
-				}
-			}
-		}
-		for v := lo; v < hi; v++ {
-			nv := u.nbr(NodeID(v))
-			// Neighbors above v only: the triangle belongs to its
+		for a := lo; a < hi; a++ {
+			na, ka := u.nbr(NodeID(a)), u.kinds(NodeID(a))
+			// Neighbors above a only: the triangle belongs to its
 			// lowest-id corner's shard.
-			i := sort.Search(len(nv), func(k int) bool { return int(nv[k]) > v })
-			above := nv[i:]
-			for j, w := range above {
-				intersectSorted(above[j+1:], u.nbr(w), func(x NodeID) {
-					classify(NodeID(v), w, x)
+			i := sort.Search(len(na), func(k int) bool { return int(na[k]) > a })
+			for j := i; j < len(na); j++ {
+				b, ab := na[j], ka[j]
+				above, kb := na[j+1:], u.kinds(b)
+				intersectSorted(above, u.nbr(b), func(x, y int) {
+					ac, bc := ka[j+1+x], kb[y]
+					part[closedTriad(ab, ac, bc)]++
+					part[openTriad(ab, ac)]--
+					part[openTriad(ab.flip(), bc)]--
+					part[openTriad(ac.flip(), bc.flip())]--
 				})
 			}
 		}
@@ -352,35 +335,47 @@ func motifsOn(g View, u *undirected, parallelism int) *MotifCensus {
 	return m
 }
 
-// Dyad direction kinds, from a center's perspective.
-type dyadKind int
+// dyadKind is a connected dyad's direction from one endpoint's side, as
+// two bits: the arc leaving it and the arc reaching it.
+type dyadKind uint8
 
 const (
-	dyadOut dyadKind = iota // center→other only
-	dyadIn                  // other→center only
-	dyadMut                 // both
+	dyadOut dyadKind = 1                // center→other only
+	dyadIn  dyadKind = 2                // other→center only
+	dyadMut          = dyadOut | dyadIn // both
 )
 
-// u2mut classifies the connected dyad (center, other); the pair must be
-// adjacent in the undirected projection.
-func u2mut(g View, center, other NodeID) dyadKind {
-	fwd := HasArc(g, center, other)
-	rev := HasArc(g, other, center)
+// flip returns the same dyad seen from its other endpoint.
+func (k dyadKind) flip() dyadKind { return k>>1 | (k&1)<<1 }
+
+// openTriad is the class a center forms with two neighbors it reaches
+// through dyads p and q, assuming those two are not linked.
+func openTriad(p, q dyadKind) TriadClass {
 	switch {
-	case fwd && rev:
-		return dyadMut
-	case fwd:
-		return dyadOut
+	case p == dyadMut && q == dyadMut:
+		return Triad201
+	case p == dyadMut || q == dyadMut:
+		// One mutual, one asymmetric: direction of the asymmetric arc
+		// (p&q, since mutual has both bits) picks 111U (outgoing) vs
+		// 111D.
+		if p&q == dyadOut {
+			return Triad111U
+		}
+		return Triad111D
+	case p == dyadOut && q == dyadOut:
+		return Triad021D
+	case p == dyadIn && q == dyadIn:
+		return Triad021U
 	default:
-		return dyadIn
+		return Triad021C
 	}
 }
 
-// triangleClass classifies a closed triple by its three dyads.
-func triangleClass(g View, a, b, c NodeID) TriadClass {
-	kinds := [3]dyadKind{u2mut(g, a, b), u2mut(g, a, c), u2mut(g, b, c)}
+// closedTriad classifies the triangle a < b < c from its dyads ab and
+// ac (seen from a) and bc (seen from b).
+func closedTriad(ab, ac, bc dyadKind) TriadClass {
 	muts := 0
-	for _, k := range kinds {
+	for _, k := range [3]dyadKind{ab, ac, bc} {
 		if k == dyadMut {
 			muts++
 		}
@@ -392,23 +387,21 @@ func triangleClass(g View, a, b, c NodeID) TriadClass {
 		return Triad210
 	case 1:
 		// The mutual dyad plus two asymmetric arcs touching the third
-		// node: both sourced by it → 120D, both sunk into it → 120U,
-		// one each → 120C.
-		var x, p, q NodeID // x: the node outside the mutual dyad
+		// node x: both sourced by it → 120D, both sunk into it → 120U,
+		// one each → 120C. xp and xq are x's dyads, seen from x.
+		var xp, xq dyadKind
 		switch {
-		case kinds[0] == dyadMut:
-			x, p, q = c, a, b
-		case kinds[1] == dyadMut:
-			x, p, q = b, a, c
+		case ab == dyadMut:
+			xp, xq = ac.flip(), bc.flip()
+		case ac == dyadMut:
+			xp, xq = ab.flip(), bc
 		default:
-			x, p, q = a, b, c
+			xp, xq = ab, ac
 		}
-		xp := HasArc(g, x, p)
-		xq := HasArc(g, x, q)
 		switch {
-		case xp && xq:
+		case xp == dyadOut && xq == dyadOut:
 			return Triad120D
-		case !xp && !xq:
+		case xp == dyadIn && xq == dyadIn:
 			return Triad120U
 		default:
 			return Triad120C
@@ -417,7 +410,7 @@ func triangleClass(g View, a, b, c NodeID) TriadClass {
 		// All asymmetric: cyclic iff the three arcs chain a→b→c→a or
 		// its reverse; otherwise one node sources two arcs and the
 		// triangle is transitive.
-		if HasArc(g, a, b) == HasArc(g, b, c) && HasArc(g, b, c) == HasArc(g, c, a) {
+		if (ab == dyadOut) == (bc == dyadOut) && (bc == dyadOut) == (ac == dyadIn) {
 			return Triad030C
 		}
 		return Triad030T

@@ -156,7 +156,7 @@ func TestMotifsTransitiveClosuresMatchClustering(t *testing.T) {
 		m := Motifs(g, 4)
 		var want int64
 		for u := 0; u < g.NumNodes(); u++ {
-			want += int64(clusteringLinks(g, NodeID(u)))
+			want += int64(new(clusterScratch).links(g, NodeID(u)))
 		}
 		if got := m.TransitiveClosures(); got != want {
 			t.Errorf("%s: TransitiveClosures = %d, Σ clusteringLinks = %d", name, got, want)
@@ -170,7 +170,7 @@ func TestMotifsTransitiveClosuresMatchClustering(t *testing.T) {
 func TestMotifsDyadTotals(t *testing.T) {
 	for name, g := range testGraphs() {
 		m := Motifs(g, 4)
-		u := buildUndirected(g, 4)
+		u := buildUndirected(g, 4, false)
 		undirectedEdges := int64(len(u.adj)) / 2
 		if m.MutualDyads+m.AsymDyads != undirectedEdges {
 			t.Errorf("%s: mutual %d + asym %d != undirected edges %d",

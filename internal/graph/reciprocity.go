@@ -8,12 +8,18 @@ package graph
 // It returns (0, false) for nodes with no out-edges, which have no defined
 // reciprocity.
 func RelationReciprocity(g View, u NodeID) (float64, bool) {
-	out := g.Out(u)
-	if len(out) == 0 {
+	var out, in []NodeID
+	return relationReciprocity(g, u, &out, &in)
+}
+
+// relationReciprocity is RelationReciprocity reading u's two rows into
+// the caller's buffers.
+func relationReciprocity(g View, u NodeID, out, in *[]NodeID) (float64, bool) {
+	if g.OutDegree(u) == 0 {
 		return 0, false
 	}
-	shared := sortedIntersectionSize(out, g.In(u))
-	return float64(shared) / float64(len(out)), true
+	*out, *in = g.Out(u, *out...), g.In(u, *in...)
+	return float64(sortedIntersectionSize(*out, *in)) / float64(len(*out)), true
 }
 
 // AllReciprocities returns RR(u) for every node with at least one
@@ -26,8 +32,9 @@ func AllReciprocities(g View, parallelism int) []float64 {
 	parts := make([][]float64, len(bounds)-1)
 	runShards(bounds, func(shard, lo, hi int) {
 		part := make([]float64, 0, hi-lo)
+		var out, in []NodeID
 		for u := lo; u < hi; u++ {
-			if rr, ok := RelationReciprocity(g, NodeID(u)); ok {
+			if rr, ok := relationReciprocity(g, NodeID(u), &out, &in); ok {
 				part = append(part, rr)
 			}
 		}
@@ -49,8 +56,10 @@ func GlobalReciprocity(g View, parallelism int) float64 {
 	partial := make([]int64, len(bounds)-1)
 	runShards(bounds, func(shard, lo, hi int) {
 		var sum int64
+		var out, in []NodeID
 		for u := lo; u < hi; u++ {
-			sum += int64(sortedIntersectionSize(g.Out(NodeID(u)), g.In(NodeID(u))))
+			out, in = g.Out(NodeID(u), out...), g.In(NodeID(u), in...)
+			sum += int64(sortedIntersectionSize(out, in))
 		}
 		partial[shard] = sum
 	})

@@ -65,6 +65,7 @@ func SCC(g View) *SCCResult {
 		pos  int
 	}
 	frames := make([]frame, 0, 64)
+	var row []NodeID // the top frame's row, re-read whenever it resumes
 
 	for start := 0; start < n; start++ {
 		if index[start] != unvisited {
@@ -80,10 +81,10 @@ func SCC(g View) *SCCResult {
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			u := f.node
-			adj := g.Out(u)
+			row = g.Out(u, row...)
 			advanced := false
-			for f.pos < len(adj) {
-				v := adj[f.pos]
+			for f.pos < len(row) {
+				v := row[f.pos]
 				f.pos++
 				if index[v] == unvisited {
 					index[v] = next

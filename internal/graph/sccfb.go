@@ -92,8 +92,10 @@ type sccState struct {
 	pending int // queued + in-flight tasks; 0 means the partition is done
 }
 
-// worker pops tasks until the whole graph is partitioned.
+// worker pops tasks until the whole graph is partitioned. row is the
+// worker's row buffer, reused by every task it runs.
 func (s *sccState) worker() {
+	var row []NodeID
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && s.pending > 0 {
@@ -107,7 +109,7 @@ func (s *sccState) worker() {
 		s.queue = s.queue[:len(s.queue)-1]
 		s.mu.Unlock()
 
-		subtasks := s.process(t)
+		subtasks := s.process(t, &row)
 
 		s.mu.Lock()
 		s.pending += len(subtasks) - 1
@@ -125,9 +127,9 @@ func (s *sccState) worker() {
 
 // process handles one task: trim, pivot, split. It returns the subtasks
 // (possibly none).
-func (s *sccState) process(t sccTask) []sccTask {
+func (s *sccState) process(t sccTask, row *[]NodeID) []sccTask {
 	g := s.g
-	remaining := s.trim(t)
+	remaining := s.trim(t, row)
 	if len(remaining) == 0 {
 		return nil
 	}
@@ -135,8 +137,8 @@ func (s *sccState) process(t sccTask) []sccTask {
 	// Pivot SCC = forward-reachable ∩ backward-reachable within the task.
 	pivot := remaining[0]
 	const fwBit, bwBit = uint8(1), uint8(2)
-	s.reach(t.id, pivot, fwBit, func(u NodeID) []NodeID { return g.Out(u) })
-	s.reach(t.id, pivot, bwBit, func(u NodeID) []NodeID { return g.In(u) })
+	s.reach(t.id, pivot, fwBit, g.Out, row)
+	s.reach(t.id, pivot, bwBit, g.In, row)
 
 	cid := s.nextComp.Add(1) - 1
 	var fwOnly, bwOnly, rest []NodeID
@@ -176,17 +178,19 @@ func (s *sccState) process(t sccTask) []sccTask {
 // the task — each is necessarily a singleton SCC — and returns the
 // surviving nodes. Trimming disposes of chains, trees, and the long
 // acyclic tendrils of crawl graphs without any BFS rounds.
-func (s *sccState) trim(t sccTask) []NodeID {
+func (s *sccState) trim(t sccTask, row *[]NodeID) []NodeID {
 	g := s.g
 	var queue []NodeID
 	for _, u := range t.nodes {
 		in, out := int32(0), int32(0)
-		for _, v := range g.In(u) {
+		*row = g.In(u, *row...)
+		for _, v := range *row {
 			if taskOwner(s.taskOf, v) == t.id {
 				in++
 			}
 		}
-		for _, v := range g.Out(u) {
+		*row = g.Out(u, *row...)
+		for _, v := range *row {
 			if taskOwner(s.taskOf, v) == t.id {
 				out++
 			}
@@ -204,14 +208,16 @@ func (s *sccState) trim(t sccTask) []NodeID {
 		}
 		s.comp[u] = s.nextComp.Add(1) - 1
 		setTaskOwner(s.taskOf, u, -1)
-		for _, v := range g.Out(u) {
+		*row = g.Out(u, *row...)
+		for _, v := range *row {
 			if taskOwner(s.taskOf, v) == t.id {
 				if s.inDegT[v]--; s.inDegT[v] == 0 && s.outDegT[v] > 0 {
 					queue = append(queue, v)
 				}
 			}
 		}
-		for _, v := range g.In(u) {
+		*row = g.In(u, *row...)
+		for _, v := range *row {
 			if taskOwner(s.taskOf, v) == t.id {
 				if s.outDegT[v]--; s.outDegT[v] == 0 && s.inDegT[v] > 0 {
 					queue = append(queue, v)
@@ -238,13 +244,14 @@ func setTaskOwner(taskOf []int32, u NodeID, id int32) {
 }
 
 // reach marks bit on every node reachable from src through adj edges that
-// stay inside task id.
-func (s *sccState) reach(id int32, src NodeID, bit uint8, adj func(NodeID) []NodeID) {
+// stay inside task id, reading rows into row.
+func (s *sccState) reach(id int32, src NodeID, bit uint8, adj func(NodeID, ...NodeID) []NodeID, row *[]NodeID) {
 	queue := []NodeID{src}
 	s.mark[src] |= bit
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for _, v := range adj(u) {
+		*row = adj(u, *row...)
+		for _, v := range *row {
 			if taskOwner(s.taskOf, v) == id && s.mark[v]&bit == 0 {
 				s.mark[v] |= bit
 				queue = append(queue, v)

@@ -15,8 +15,10 @@ func Induced(g View, nodes []NodeID) (*Graph, []NodeID) {
 		newToOld = append(newToOld, u)
 	}
 	b := NewBuilder(len(newToOld), len(newToOld)*8)
+	var row []NodeID
 	for newU, oldU := range newToOld {
-		for _, oldV := range g.Out(oldU) {
+		row = g.Out(oldU, row...)
+		for _, oldV := range row {
 			if newV, ok := oldToNew[oldV]; ok {
 				b.AddEdge(NodeID(newU), newV)
 			}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -93,15 +94,24 @@ func (r *TriangleResult) Transitivity() float64 {
 
 // undirected is the symmetrized projection of a Graph in CSR form:
 // adj[off[u]:off[u+1]] lists, sorted ascending, every v ≠ u with u→v or
-// v→u. Built once and shared by the triangle and motif kernels.
+// v→u. The motif census builds it once and runs both the triangle
+// kernel and the triad classification over it.
 type undirected struct {
 	off []int64
 	adj []NodeID
+	// dyad[i], when the projection is built tagged, says whether the
+	// pair (owner, adj[i]) is an out, in or mutual dyad from the row
+	// owner's side — the directed information the census needs, so it
+	// never goes back to the View's rows.
+	dyad []dyadKind
 }
 
 func (u *undirected) numNodes() int { return len(u.off) - 1 }
 
 func (u *undirected) nbr(v NodeID) []NodeID { return u.adj[u.off[v]:u.off[v+1]] }
+
+// kinds returns v's dyad tags, aligned with nbr(v).
+func (u *undirected) kinds(v NodeID) []dyadKind { return u.dyad[u.off[v]:u.off[v+1]] }
 
 func (u *undirected) deg(v NodeID) int { return int(u.off[v+1] - u.off[v]) }
 
@@ -111,9 +121,8 @@ func (u *undirected) hasEdge(a, b NodeID) bool {
 	if u.deg(a) > u.deg(b) {
 		a, b = b, a
 	}
-	n := u.nbr(a)
-	i := sort.Search(len(n), func(k int) bool { return n[k] >= b })
-	return i < len(n) && n[i] == b
+	_, ok := slices.BinarySearch(u.nbr(a), b)
+	return ok
 }
 
 // workBounds is the projection's analogue of Graph.workBounds: shard
@@ -125,10 +134,12 @@ func (u *undirected) workBounds(parallelism int) []int {
 }
 
 // buildUndirected symmetrizes g: each node's out- and in-lists (both
-// already sorted) merge into one sorted, deduplicated neighbor list.
-// Two passes — size then fill — so the CSR arrays are allocated exactly
-// once; both passes shard over the directed workBounds.
-func buildUndirected(g View, parallelism int) *undirected {
+// already sorted) merge into one sorted, deduplicated neighbor list,
+// with each neighbor's dyad kind recorded beside it when tagged. Two
+// passes — size then fill — so the CSR arrays are allocated exactly
+// once; both passes shard over the directed workBounds, and each shard
+// decodes its rows into two reused buffers.
+func buildUndirected(g View, parallelism int, tagged bool) *undirected {
 	n := g.NumNodes()
 	u := &undirected{off: make([]int64, n+1)}
 	if n == 0 {
@@ -137,61 +148,64 @@ func buildUndirected(g View, parallelism int) *undirected {
 	bounds := viewWorkBounds(g, parallelism)
 	// Pass 1: per-node union sizes into off[v+1].
 	runShards(bounds, func(_, lo, hi int) {
+		var out, in []NodeID
 		for v := lo; v < hi; v++ {
-			u.off[v+1] = int64(sortedUnionSize(g.Out(NodeID(v)), g.In(NodeID(v)), nil))
+			out, in = g.Out(NodeID(v), out...), g.In(NodeID(v), in...)
+			u.off[v+1] = int64(mergeRows(out, in, nil, nil))
 		}
 	})
 	for v := 0; v < n; v++ {
 		u.off[v+1] += u.off[v]
 	}
 	u.adj = make([]NodeID, u.off[n])
+	if tagged {
+		u.dyad = make([]dyadKind, u.off[n])
+	}
 	// Pass 2: fill each node's slice; shards own disjoint ranges.
 	runShards(bounds, func(_, lo, hi int) {
+		var out, in []NodeID
 		for v := lo; v < hi; v++ {
-			dst := u.adj[u.off[v]:u.off[v]]
-			sortedUnionSize(g.Out(NodeID(v)), g.In(NodeID(v)), func(w NodeID) {
-				dst = append(dst, w)
-			})
+			out, in = g.Out(NodeID(v), out...), g.In(NodeID(v), in...)
+			var tags []dyadKind
+			if tagged {
+				tags = u.kinds(NodeID(v))
+			}
+			mergeRows(out, in, u.nbr(NodeID(v)), tags)
 		}
 	})
 	return u
 }
 
-// sortedUnionSize merges two sorted lists, calling emit (when non-nil)
-// for each distinct element in ascending order, and returns the union
-// size.
-func sortedUnionSize(a, b []NodeID, emit func(NodeID)) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		x := a[i]
+// mergeRows merges a node's sorted out- and in-lists into their sorted
+// union and returns its size. When dst is non-nil the union is written
+// there, and when tags is non-nil too, each element's dyad kind: out
+// for an element of out only, in for in only, mutual for both.
+func mergeRows(out, in, dst []NodeID, tags []dyadKind) int {
+	i, j, k := 0, 0, 0
+	for i < len(out) || j < len(in) {
+		var w NodeID
+		var kind dyadKind
 		switch {
-		case a[i] < b[j]:
+		case j == len(in) || (i < len(out) && out[i] < in[j]):
+			w, kind = out[i], dyadOut
 			i++
-		case a[i] > b[j]:
-			x = b[j]
+		case i == len(out) || in[j] < out[i]:
+			w, kind = in[j], dyadIn
 			j++
 		default:
+			w, kind = out[i], dyadMut
 			i++
 			j++
 		}
-		if emit != nil {
-			emit(x)
+		if dst != nil {
+			dst[k] = w
+			if tags != nil {
+				tags[k] = kind
+			}
 		}
-		n++
+		k++
 	}
-	for ; i < len(a); i++ {
-		if emit != nil {
-			emit(a[i])
-		}
-		n++
-	}
-	for ; j < len(b); j++ {
-		if emit != nil {
-			emit(b[j])
-		}
-		n++
-	}
-	return n
+	return k
 }
 
 // wedgeTotal returns Σ_v C(deg(v), 2) over the projection.
@@ -252,8 +266,15 @@ func resolveTriangleMethod(u *undirected, wedges int64) TriangleMethod {
 // result — total, per-node counts, and wedge count — is byte-identical
 // for any parallelism.
 func Triangles(g View, method TriangleMethod, parallelism int) *TriangleResult {
-	u := buildUndirected(g, parallelism)
-	return trianglesOn(u, method, parallelism)
+	return trianglesOn(buildUndirected(g, parallelism, false), method, parallelism)
+}
+
+// TrianglesAndMotifs runs Triangles and Motifs over one shared
+// projection of g, building it once. Both results are exactly what the
+// separate calls return.
+func TrianglesAndMotifs(g View, method TriangleMethod, parallelism int) (*TriangleResult, *MotifCensus) {
+	u := buildUndirected(g, parallelism, true)
+	return trianglesOn(u, method, parallelism), motifsOn(u, parallelism)
 }
 
 func trianglesOn(u *undirected, method TriangleMethod, parallelism int) *TriangleResult {
@@ -295,8 +316,8 @@ func triBurkhardt(u *undirected, per []int64, parallelism int) {
 			// Only edges toward higher ids; each {v,w} handled once.
 			i := sort.Search(len(nv), func(k int) bool { return int(nv[k]) > v })
 			for _, w := range nv[i:] {
-				intersectSorted(nv, u.nbr(w), func(x NodeID) {
-					atomic.AddInt64(&per[x], 1)
+				intersectSorted(nv, u.nbr(w), func(k, _ int) {
+					atomic.AddInt64(&per[nv[k]], 1)
 				})
 			}
 		}
@@ -422,55 +443,12 @@ func triSandia(u *undirected, per []int64, parallelism int, reverse bool) {
 				if reverse {
 					rest = row[:i]
 				}
-				intersectRanks(rest, srow, func(t uint32) {
+				intersectSorted(rest, srow, func(k, _ int) {
 					atomic.AddInt64(&per[o.perm[r]], 1)
 					atomic.AddInt64(&per[o.perm[s]], 1)
-					atomic.AddInt64(&per[o.perm[t]], 1)
+					atomic.AddInt64(&per[o.perm[rest[k]]], 1)
 				})
 			}
 		}
 	})
-}
-
-// intersectRanks is intersectSorted for rank slices (uint32 ids in rank
-// space). Same galloping crossover.
-func intersectRanks(a, b []uint32, emit func(uint32)) {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(b) >= gallopSkewFactor*len(a) && len(a) > 0 {
-		for _, x := range a {
-			hi := 1
-			for hi < len(b) && b[hi] < x {
-				hi *= 2
-			}
-			if hi > len(b) {
-				hi = len(b)
-			}
-			lo := hi / 2
-			i := lo + sort.Search(hi-lo, func(k int) bool { return b[lo+k] >= x })
-			if i < len(b) && b[i] == x {
-				emit(x)
-				i++
-			}
-			b = b[i:]
-			if len(b) == 0 {
-				return
-			}
-		}
-		return
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			emit(a[i])
-			i++
-			j++
-		}
-	}
 }

@@ -95,7 +95,7 @@ func TestTrianglesMethodsAgree(t *testing.T) {
 // coefficient itself must equal triangles over possible pairs.
 func TestTrianglesMatchClusteringCoefficient(t *testing.T) {
 	for name, g := range testGraphs() {
-		u := buildUndirected(g, 4)
+		u := buildUndirected(g, 4, false)
 		n := u.numNodes()
 		b := NewBuilder(n, 0)
 		for v := 0; v < n; v++ {
@@ -106,7 +106,7 @@ func TestTrianglesMatchClusteringCoefficient(t *testing.T) {
 		sym := b.Build()
 		res := Triangles(g, TriangleAuto, 4)
 		for v := 0; v < n; v++ {
-			links := int64(clusteringLinks(sym, NodeID(v)))
+			links := int64(new(clusterScratch).links(sym, NodeID(v)))
 			if links%2 != 0 {
 				t.Fatalf("%s: node %d: odd symmetric link count %d", name, v, links)
 			}
@@ -164,11 +164,11 @@ func TestTriangleAutoResolves(t *testing.T) {
 	if m := Triangles(small, TriangleAuto, 2).Method; m != TriangleCohen {
 		t.Errorf("wedge-light graph resolved to %v, want cohen", m)
 	}
-	u := buildUndirected(small, 1)
+	u := buildUndirected(small, 1, false)
 	if m := resolveTriangleMethod(u, cohenWedgeBudget+1); m != TriangleBurkhardt {
 		t.Errorf("low-skew graph past the wedge budget resolved to %v, want burkhardt", m)
 	}
-	star := buildUndirected(testGraphs()["star"], 1)
+	star := buildUndirected(testGraphs()["star"], 1, false)
 	if m := resolveTriangleMethod(star, cohenWedgeBudget+1); m != TriangleSandiaLL {
 		t.Errorf("heavy-tailed graph past the wedge budget resolved to %v, want sandia-ll", m)
 	}
@@ -197,11 +197,16 @@ func TestTriangleTransitivity(t *testing.T) {
 }
 
 // TestBuildUndirected pins the projection: sorted, deduplicated,
-// symmetric, self-loop free.
+// symmetric, self-loop free, and — when tagged — every neighbor's dyad
+// kind matching the graph's arcs in each direction.
 func TestBuildUndirected(t *testing.T) {
 	for name, g := range testGraphs() {
 		for _, par := range []int{1, 3, 16} {
-			u := buildUndirected(g, par)
+			u := buildUndirected(g, par, true)
+			if plain := buildUndirected(g, par, false); plain.dyad != nil ||
+				!reflect.DeepEqual(plain.off, u.off) || !reflect.DeepEqual(plain.adj, u.adj) {
+				t.Fatalf("%s: untagged projection differs from the tagged one, or carries tags", name)
+			}
 			if u.numNodes() != g.NumNodes() {
 				t.Fatalf("%s: projection has %d nodes, graph %d", name, u.numNodes(), g.NumNodes())
 			}
@@ -220,8 +225,18 @@ func TestBuildUndirected(t *testing.T) {
 					if !u.hasEdge(w, NodeID(v)) {
 						t.Fatalf("%s: edge {%d,%d} not symmetric", name, v, w)
 					}
-					if !g.HasEdge(NodeID(v), w) && !g.HasEdge(w, NodeID(v)) {
+					var want dyadKind
+					if g.HasEdge(NodeID(v), w) {
+						want |= dyadOut
+					}
+					if g.HasEdge(w, NodeID(v)) {
+						want |= dyadIn
+					}
+					if want == 0 {
 						t.Fatalf("%s: projected edge {%d,%d} absent from graph", name, v, w)
+					}
+					if got := u.kinds(NodeID(v))[i]; got != want {
+						t.Fatalf("%s: dyad (%d,%d) tagged %d, want %d", name, v, w, got, want)
 					}
 				}
 			}
@@ -270,9 +285,21 @@ func TestIntersectSortedGallop(t *testing.T) {
 			return out
 		}
 		short, long = sortDedup(short), sortDedup(long)
-		var got []NodeID
-		intersectSorted(short, long, func(x NodeID) { got = append(got, x) })
-		return reflect.DeepEqual(got, linear(short, long))
+		// Both argument orders must report the same pairs, each index
+		// pointing into its own list at the common element.
+		var got, swapped []NodeID
+		intersectSorted(short, long, func(i, j int) {
+			if short[i] == long[j] {
+				got = append(got, short[i])
+			}
+		})
+		intersectSorted(long, short, func(j, i int) {
+			if short[i] == long[j] {
+				swapped = append(swapped, short[i])
+			}
+		})
+		want := linear(short, long)
+		return reflect.DeepEqual(got, want) && reflect.DeepEqual(swapped, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

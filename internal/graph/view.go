@@ -1,19 +1,23 @@
 package graph
 
-import "sort"
-
 // View is the read surface every analysis kernel in this package is
 // written against. Two implementations exist: the in-RAM *Graph and the
 // memory-mapped diskcsr.Mapped form, which pages adjacency in lazily
 // from a compressed file. The contract mirrors Graph exactly:
 //
 //   - Nodes are dense ids 0..NumNodes()-1.
-//   - Out and In return strictly ascending neighbor lists. Callers must
-//     not modify the returned slice; implementations may either share
-//     backing storage (Graph) or allocate per call (Mapped), so no
-//     caller may retain a row across a second Out/In call on the same
-//     receiver unless the implementation documents sharing.
-//   - All methods are safe for concurrent use.
+//   - Out and In return u's strictly ascending neighbor list. buf is an
+//     optional caller-owned buffer: a *Graph ignores it and returns its
+//     shared CSR storage, a Mapped decodes into buf[:0] and grows it
+//     only when it is too short (and allocates when none is given). A
+//     returned row is valid until its buffer is reused, and must not be
+//     modified. Kernels keep one buffer per goroutine for every row they
+//     hold at once and pass the last row back in: row = g.Out(u, row...).
+//     A *Graph never writes into buf, so handing back one of its own rows
+//     is harmless; a buffer must not move between views.
+//   - HasArc reports whether the arc u->v exists without materializing a
+//     row on either backend.
+//   - All methods are safe for concurrent use; buffers are not.
 //
 // Kernels accept a View rather than *Graph so the same code runs — and
 // by the package's determinism contract produces byte-identical results
@@ -21,10 +25,11 @@ import "sort"
 type View interface {
 	NumNodes() int
 	NumEdges() int64
-	Out(u NodeID) []NodeID
-	In(u NodeID) []NodeID
+	Out(u NodeID, buf ...NodeID) []NodeID
+	In(u NodeID, buf ...NodeID) []NodeID
 	OutDegree(u NodeID) int
 	InDegree(u NodeID) int
+	HasArc(u, v NodeID) bool
 }
 
 // WorkPrefixer is an optional View extension for degree-balanced
@@ -46,20 +51,6 @@ func viewWorkBounds(g View, parallelism int) []int {
 		return prefixWorkBounds(g.NumNodes(), parallelism, wp.WorkPrefix)
 	}
 	return uniformBounds(g.NumNodes(), parallelism)
-}
-
-// HasArc reports whether the directed edge u->v exists, probing the
-// shorter of u's out-row and v's in-row so celebrity endpoints don't
-// slow the test. It is the View counterpart of Graph.HasEdge.
-func HasArc(g View, u, v NodeID) bool {
-	if g.OutDegree(u) <= g.InDegree(v) {
-		adj := g.Out(u)
-		i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-		return i < len(adj) && adj[i] == v
-	}
-	adj := g.In(v)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i] >= u })
-	return i < len(adj) && adj[i] == u
 }
 
 // AvgDegree returns edges/nodes for any view; the method on *Graph

@@ -54,8 +54,10 @@ func WCC(g View, parallelism int) *WCCResult {
 	// Shard weight follows the out-CSR so the celebrity head does not pile
 	// onto one worker.
 	runShards(viewWorkBounds(g, parallelism), func(_, lo, hi int) {
+		var row []NodeID
 		for u := lo; u < hi; u++ {
-			for _, v := range g.Out(NodeID(u)) {
+			row = g.Out(NodeID(u), row...)
+			for _, v := range row {
 				ufUnion(parent, int32(u), int32(v))
 			}
 		}
