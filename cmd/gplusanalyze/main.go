@@ -333,6 +333,7 @@ func main() {
 			if structRes, err = study.Structure(ctx); err != nil {
 				log.Fatalf("structural analyses: %v", err)
 			}
+			log.Print(formatStageTimings(structRes.Timings))
 		})
 		return structRes
 	}
@@ -377,6 +378,17 @@ func main() {
 	})
 	run("motifs", func() { report.Motifs(w, structure().Motifs) })
 	run("lostedges", func() { report.LostEdges(w, study.LostEdges(*circleCap)) })
+}
+
+// formatStageTimings renders a structure pass's per-stage wall-clock as
+// one line, in the pass's fixed stage order.
+func formatStageTimings(ts []core.StageTiming) string {
+	var b strings.Builder
+	b.WriteString("structure stage wall-clock:")
+	for _, t := range ts {
+		fmt.Fprintf(&b, " %s=%s", t.Stage, t.Dur.Round(time.Microsecond))
+	}
+	return b.String()
 }
 
 // printStageBreakdown sums the analyze.<stage> spans the study recorded

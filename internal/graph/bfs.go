@@ -2,7 +2,9 @@ package graph
 
 import (
 	"context"
+	"math/bits"
 	"math/rand/v2"
+	"slices"
 	"sync"
 )
 
@@ -34,9 +36,9 @@ func BFSDistances(g View, src NodeID, dir Direction, dist []int32) []int32 {
 	return s.run(g, src, true, dir == Undirected)
 }
 
-// bfsScratch is one goroutine's reusable BFS state — distances, queue
-// and row buffer — so a run of many sources allocates only while the
-// buffers are still growing.
+// bfsScratch is reusable single-source BFS state — distances, queue and
+// row buffer — behind BFSDistances. The sampled analyses run many
+// sources at once on waveScratch instead.
 type bfsScratch struct {
 	dist  []int32
 	queue []NodeID
@@ -156,6 +158,7 @@ type PathLengthOptions struct {
 	// distributions of consecutive batches that counts as converged.
 	Tolerance float64
 	// BatchSize is the number of sources added per convergence check.
+	// The default, 32, is waveWidth: one full wave at Parallelism 1.
 	BatchSize int
 	// Parallelism runs BFS sources on this many goroutines. Results are
 	// identical for any value: sources are pre-drawn from Rand in order
@@ -188,10 +191,13 @@ func (o *PathLengthOptions) setDefaults() {
 
 // SamplePathLengths estimates the pairwise hop-distance distribution by
 // running full BFS from randomly sampled sources, the procedure of §3.3.5.
-// It stops early once the distribution stabilizes or ctx is cancelled
-// (returning the estimate so far). The result is independent of
-// Parallelism: sources are drawn up-front in a fixed order and per-batch
-// histograms merge by summation.
+// Sources are drawn up-front in a fixed order and consumed BatchSize at a
+// time; each batch is traversed as bit-parallel waves (see bfsBatch), and
+// the distribution is checked for convergence between batches. It stops
+// early once the distribution stabilizes or ctx is cancelled, returning
+// the estimate over the sources admitted so far. The result is
+// independent of Parallelism: batch histograms merge by exact integer
+// sums.
 func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengthOptions) *PathLengthDist {
 	opt.setDefaults()
 	n := g.NumNodes()
@@ -205,7 +211,7 @@ func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengt
 	}
 
 	var prevProb []float64
-	scratch := make([]bfsScratch, opt.Parallelism)
+	scratch := make([]waveScratch, opt.Parallelism)
 	for res.Sources < opt.MaxSources {
 		batch := opt.BatchSize
 		if res.Sources+batch > opt.MaxSources {
@@ -215,16 +221,13 @@ func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengt
 			return res
 		}
 		counts, done := bfsBatch(ctx, g, dir, sources[res.Sources:res.Sources+batch], scratch)
-		for h, c := range counts {
-			for h >= len(res.Counts) {
-				res.Counts = append(res.Counts, 0)
-			}
-			res.Counts[h] += c
+		res.Counts = addCounts(res.Counts, counts)
+		for _, c := range counts {
 			res.Reachable += c
 		}
-		// Count only the sources whose BFS actually completed: on
-		// cancellation mid-batch, done < batch, and crediting the full
-		// batch would make Sources (and the convergence check) lie.
+		// Count only the sources admitted before cancellation: on a
+		// mid-batch cancel done < batch, and crediting the full batch
+		// would make Sources (and the convergence check) lie.
 		res.Sources += done
 		if done < batch {
 			return res
@@ -239,90 +242,198 @@ func SamplePathLengths(ctx context.Context, g View, dir Direction, opt PathLengt
 	return res
 }
 
-// bfsBatch runs BFS from each source, fanned out over len(scratch)
-// goroutines, and returns the summed distance histogram along with how
-// many sources actually completed (fewer than len(sources) only when the
-// context was cancelled mid-batch). Each worker reuses its scratch
-// between sources.
-//
-// The pair (histogram, done) always means "the first done sources, in
-// order": the caller advances its Sources cursor by done, so the merged
-// histogram must cover exactly the prefix sources[:done]. Workers take
-// strided source indices, so under cancellation they complete a
-// *scattered* subset; merging everything completed while reporting its
-// count as a prefix would credit later sources' distances to earlier
-// positions and make a cancelled P>1 run disagree with the P=1 run.
-// Instead each source keeps its own histogram and only the longest
-// fully-completed prefix merges — completed work beyond the first gap is
-// discarded, exactly as if the serial scan had been cancelled there.
-func bfsBatch(ctx context.Context, g View, dir Direction, sources []NodeID, scratch []bfsScratch) ([]int64, int) {
-	workers := len(scratch)
-	if workers <= 1 || len(sources) < 2 {
-		return bfsBatchSeq(ctx, g, dir, sources, &scratch[0])
-	}
-	perSrc := make([][]int64, len(sources))
-	finished := make([]bool, len(sources))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Strided assignment keeps the partition deterministic.
-			for i := w; i < len(sources); i += workers {
-				if ctx.Err() != nil {
-					return
-				}
-				var counts []int64
-				for _, d := range scratch[w].run(g, sources[i], true, dir == Undirected) {
-					if d < 0 {
-						continue
-					}
-					for int(d) >= len(counts) {
-						counts = append(counts, 0)
-					}
-					counts[d]++
-				}
-				perSrc[i] = counts
-				finished[i] = true
-			}
-		}(w)
-	}
-	wg.Wait()
+// bfsBatch admits sources in order, consulting ctx.Err once per source
+// and stopping at the first cancellation, then traverses the admitted
+// prefix sources[:done]: it is cut into one contiguous chunk per scratch
+// (one goroutine each), and every chunk runs as waves of up to waveWidth
+// sources. It returns the summed distance histogram along with done. An
+// admitted wave always runs to completion, so the pair (histogram, done)
+// describes exactly sources[:done] by construction, at any parallelism;
+// the caller advances its Sources cursor by done.
+func bfsBatch(ctx context.Context, g View, dir Direction, sources []NodeID, scratch []waveScratch) ([]int64, int) {
 	done := 0
-	for done < len(sources) && finished[done] {
+	for done < len(sources) && ctx.Err() == nil {
 		done++
 	}
-	var out []int64
-	for _, p := range perSrc[:done] {
-		for h, c := range p {
-			for h >= len(out) {
-				out = append(out, 0)
+	chunks := min(len(scratch), done)
+	hists := make([][]int64, chunks)
+	var wg sync.WaitGroup
+	for w := range chunks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for chunk := sources[w*done/chunks : (w+1)*done/chunks]; len(chunk) > 0; {
+				k := min(len(chunk), waveWidth)
+				hists[w] = addCounts(hists[w], scratch[w].run(g, chunk[:k], true, dir == Undirected, false))
+				chunk = chunk[k:]
 			}
-			out[h] += c
-		}
+		}()
+	}
+	wg.Wait()
+	var out []int64
+	for _, h := range hists {
+		out = addCounts(out, h)
 	}
 	return out, done
 }
 
-// bfsBatchSeq runs BFS from each source in order and returns the summed
-// histogram plus the number of sources it finished before cancellation.
-func bfsBatchSeq(ctx context.Context, g View, dir Direction, sources []NodeID, s *bfsScratch) ([]int64, int) {
-	var counts []int64
-	for i, src := range sources {
-		if ctx.Err() != nil {
-			return counts, i
+// addCounts adds the histogram src into dst, growing dst to src's length.
+func addCounts(dst, src []int64) []int64 {
+	for len(dst) < len(src) {
+		dst = append(dst, 0)
+	}
+	for h, c := range src {
+		dst[h] += c
+	}
+	return dst
+}
+
+// waveWidth is how many sources one wave traverses together: one bit of
+// a uint32 mask each. It matches the default BatchSize.
+const waveWidth = 32
+
+// waveScratch is one goroutine's reusable multi-source BFS state. A wave
+// runs up to waveWidth sources through a single traversal that reads each
+// frontier node's row once per level on behalf of all of them (Then et
+// al., "The More the Merrier: Efficient Multi-Source Graph Traversal",
+// VLDB 2014). Bit i of every mask belongs to source i: seen[v] holds the
+// sources that have reached v, visit[v] those whose frontier holds v at
+// the current level, and next[v] those that first reach v at the next
+// one.
+//
+// The frontier lists name the nodes with a nonzero visit (queued: next)
+// mask. Their capacity is fixed at n/8; a level whose list would
+// overflow is expanded by a dense sweep of visit instead, which also
+// reads rows in id order when most nodes are active. Per node that is
+// 12 bytes of masks plus at most 1 byte of lists, and once warm a wave
+// allocates nothing.
+type waveScratch struct {
+	seen, visit, next []uint32
+	frontier, queued  []NodeID
+	dense, overflow   bool // frontier / queued outgrew its list
+	row               []NodeID
+	counts            []int64
+	// With track set, far[i] and farD[i] are the lowest-id node at the
+	// deepest level source i reaches, and that level: the node a serial
+	// scan of BFS distances for d > farD picks.
+	track bool
+	far   [waveWidth]NodeID
+	farD  [waveWidth]int32
+}
+
+// run traverses g from srcs (at most waveWidth of them, repeats allowed:
+// each gets its own bit), following out-edges when out is set and
+// in-edges when in is set. It returns the histogram of (source, node)
+// pairs by hop distance, valid until the next run; counts[0] is
+// len(srcs). With track set it also fills far and farD.
+func (s *waveScratch) run(g View, srcs []NodeID, out, in, track bool) []int64 {
+	n := g.NumNodes()
+	if cap(s.seen) < n {
+		s.seen, s.visit, s.next = make([]uint32, n), make([]uint32, n), make([]uint32, n)
+		s.frontier, s.queued = make([]NodeID, 0, n/8), make([]NodeID, 0, n/8)
+	}
+	s.seen, s.visit, s.next = s.seen[:n], s.visit[:n], s.next[:n]
+	clear(s.seen)
+	s.track = track
+	s.queued, s.overflow = s.queued[:0], false
+	for i, src := range srcs {
+		bit := uint32(1) << i
+		if s.next[src] == 0 {
+			s.enqueue(src)
 		}
-		for _, d := range s.run(g, src, true, dir == Undirected) {
-			if d < 0 {
-				continue
+		s.next[src] |= bit
+		s.seen[src] |= bit
+		s.far[i], s.farD[i] = src, 0
+	}
+	s.advance()
+	counts := append(s.counts[:0], int64(len(srcs)))
+	for d := int32(1); ; d++ {
+		var reached int64
+		if s.dense {
+			for v, vis := range s.visit {
+				if vis != 0 {
+					reached += s.expand(g, NodeID(v), out, in, d)
+				}
 			}
-			for int(d) >= len(counts) {
-				counts = append(counts, 0)
+		} else {
+			for _, v := range s.frontier {
+				reached += s.expand(g, v, out, in, d)
 			}
-			counts[d]++
+		}
+		s.advance()
+		if reached == 0 {
+			break
+		}
+		counts = append(counts, reached)
+	}
+	s.counts = counts
+	return counts
+}
+
+// advance makes the queued level the current frontier. Every visit mask
+// was cleared as its node expanded, so the old visit array comes back
+// all zero as the new next.
+func (s *waveScratch) advance() {
+	s.visit, s.next = s.next, s.visit
+	s.frontier, s.queued = s.queued, s.frontier[:0]
+	s.dense, s.overflow = s.overflow, false
+}
+
+// enqueue lists w in the next frontier, or marks that level dense once
+// the list is full.
+func (s *waveScratch) enqueue(w NodeID) {
+	if len(s.queued) < cap(s.queued) {
+		s.queued = append(s.queued, w)
+	} else {
+		s.overflow = true
+	}
+}
+
+// expand reads v's row(s) once for every source whose frontier holds v,
+// spreading those sources to v's neighbors at hop d, and returns how many
+// (source, node) pairs it reached for the first time.
+func (s *waveScratch) expand(g View, v NodeID, out, in bool, d int32) int64 {
+	vis := s.visit[v]
+	s.visit[v] = 0
+	var reached int64
+	if out {
+		s.row = g.Out(v, s.row...)
+		reached += s.spread(s.row, vis, d)
+	}
+	if in {
+		s.row = g.In(v, s.row...)
+		reached += s.spread(s.row, vis, d)
+	}
+	return reached
+}
+
+// spread hands the source bits vis to every node of row that has not
+// seen them yet.
+func (s *waveScratch) spread(row []NodeID, vis uint32, d int32) int64 {
+	seen, next := s.seen, s.next
+	var reached int64
+	for _, w := range row {
+		nw := vis &^ seen[w]
+		if nw == 0 {
+			continue
+		}
+		if next[w] == 0 {
+			s.enqueue(w)
+		}
+		next[w] |= nw
+		seen[w] |= nw
+		reached += int64(bits.OnesCount32(nw))
+		if s.track {
+			for m := nw; m != 0; m &= m - 1 {
+				// Levels only grow, so d < farD[i] never happens.
+				i := bits.TrailingZeros32(m)
+				if d > s.farD[i] || w < s.far[i] {
+					s.far[i], s.farD[i] = w, d
+				}
+			}
 		}
 	}
-	return counts, len(sources)
+	return reached
 }
 
 func linfDelta(a, b []float64) float64 {
@@ -352,10 +463,12 @@ func linfDelta(a, b []float64) float64 {
 
 // DoubleSweepDiameter returns a lower bound on the diameter (longest
 // shortest path) using repeated double sweeps: BFS from a node, then BFS
-// again from the farthest node found. For directed graphs the second sweep
-// runs backwards over in-edges, the standard directed variant, so that a
-// path ending at the far node is measured end to end. sweeps controls how
-// many restarts are tried from random nodes.
+// again from the farthest node found (the lowest id among ties). For
+// directed graphs the second sweep runs backwards over in-edges, the
+// standard directed variant, so that a path ending at the far node is
+// measured end to end. sweeps controls how many restarts are tried from
+// random nodes; they are drawn from rng up front, and each hop runs all
+// of them as one wave.
 func DoubleSweepDiameter(g View, dir Direction, sweeps int, rng *rand.Rand) int {
 	n := g.NumNodes()
 	if n == 0 {
@@ -364,25 +477,22 @@ func DoubleSweepDiameter(g View, dir Direction, sweeps int, rng *rand.Rand) int 
 	if sweeps <= 0 {
 		sweeps = 4
 	}
-	best := 0
-	var scratch bfsScratch
-	for s := 0; s < sweeps; s++ {
-		src := NodeID(rng.IntN(n))
+	starts := make([]NodeID, sweeps)
+	for i := range starts {
+		starts[i] = NodeID(rng.IntN(n))
+	}
+	best := int32(0)
+	var s waveScratch
+	for len(starts) > 0 {
+		wave := starts[:min(len(starts), waveWidth)]
 		for hop := 0; hop < 2; hop++ {
 			// The directed second sweep runs over in-edges only.
 			reverse := dir == Directed && hop == 1
-			dist := scratch.run(g, src, !reverse, dir == Undirected || reverse)
-			far, farD := src, int32(0)
-			for v, d := range dist {
-				if d > farD {
-					far, farD = NodeID(v), d
-				}
-			}
-			if int(farD) > best {
-				best = int(farD)
-			}
-			src = far
+			s.run(g, wave, !reverse, dir == Undirected || reverse, true)
+			best = max(best, slices.Max(s.farD[:len(wave)]))
+			copy(wave, s.far[:len(wave)])
 		}
+		starts = starts[len(wave):]
 	}
-	return best
+	return int(best)
 }

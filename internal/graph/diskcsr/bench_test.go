@@ -1,6 +1,7 @@
 package diskcsr
 
 import (
+	"context"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -280,5 +281,35 @@ func BenchmarkStorageHasArc(b *testing.B) {
 		}
 		defer m.Close()
 		probe(b, m)
+	})
+}
+
+// BenchmarkStoragePathLengths prices the sampled path-length estimate —
+// bit-parallel BFS waves, each reading every frontier row once for up to
+// 32 sources — over both backends, so mapped BFS has a row of its own.
+// The sample is fixed at 64 directed sources on one goroutine.
+func BenchmarkStoragePathLengths(b *testing.B) {
+	g, v2 := benchSetup(b)
+	const sources = 64
+	paths := func(b *testing.B, v graph.View) {
+		for i := 0; i < b.N; i++ {
+			dist := graph.SamplePathLengths(context.Background(), v, graph.Directed, graph.PathLengthOptions{
+				MinSources: sources, MaxSources: sources, Parallelism: 1,
+				Rand: rand.New(rand.NewPCG(11, 12)),
+			})
+			if dist.Sources != sources {
+				b.Fatalf("%d sources, want %d", dist.Sources, sources)
+			}
+		}
+		b.ReportMetric(float64(sources)*float64(b.N)/b.Elapsed().Seconds(), "sources/s")
+	}
+	b.Run("ram", func(b *testing.B) { paths(b, g) })
+	b.Run("mmap", func(b *testing.B) {
+		m, err := Open(v2, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer m.Close()
+		paths(b, m)
 	})
 }

@@ -202,7 +202,7 @@ func TestBFSBatchCancelPrefixConsistency(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for allowed := int64(0); allowed <= int64(len(sources))+1; allowed++ {
 			ctx := &atomicCountingCtx{Context: context.Background(), allowed: allowed}
-			scratch := make([]bfsScratch, workers)
+			scratch := make([]waveScratch, workers)
 			got, done := bfsBatch(ctx, g, Directed, sources, scratch)
 			if done > len(sources) {
 				t.Fatalf("P=%d allowed=%d: done = %d > %d sources", workers, allowed, done, len(sources))
@@ -216,8 +216,8 @@ func TestBFSBatchCancelPrefixConsistency(t *testing.T) {
 		}
 	}
 	// Uncancelled, P=1 and P>1 must agree exactly.
-	base, baseDone := bfsBatch(context.Background(), g, Directed, sources, make([]bfsScratch, 1))
-	par, parDone := bfsBatch(context.Background(), g, Directed, sources, make([]bfsScratch, 4))
+	base, baseDone := bfsBatch(context.Background(), g, Directed, sources, make([]waveScratch, 1))
+	par, parDone := bfsBatch(context.Background(), g, Directed, sources, make([]waveScratch, 4))
 	if baseDone != len(sources) || parDone != len(sources) || !reflect.DeepEqual(base, par) {
 		t.Fatalf("uncancelled batch: P=1 (%v, %d) vs P=4 (%v, %d)", base, baseDone, par, parDone)
 	}
