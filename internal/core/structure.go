@@ -195,10 +195,8 @@ type MotifResult struct {
 	// Census is the full 16-class directed triad census.
 	Census *graph.MotifCensus
 	// TriangleTotal is the number of triangles in the undirected
-	// projection, and TriangleMethod the kernel the auto-selector
-	// picked for it.
-	TriangleTotal  int64
-	TriangleMethod graph.TriangleMethod
+	// projection.
+	TriangleTotal int64
 	// Transitivity is the global transitivity ratio of the projection
 	// (closed wedges over all wedges).
 	Transitivity float64
@@ -212,17 +210,16 @@ func (s *Study) Motifs() (MotifResult, error) {
 func (s *Study) motifs(ctx context.Context) (MotifResult, error) {
 	_, finish := s.stage(ctx, "motifs")
 	defer finish()
-	tri, census := graph.TrianglesAndMotifs(s.g, graph.TriangleAuto, s.opts.Parallelism)
+	tri, census := graph.TrianglesAndMotifs(s.g, s.opts.Parallelism)
 	if got := census.Triangles(); got != tri.Total {
 		return MotifResult{}, fmt.Errorf(
-			"motif census disagrees with triangle kernel %v: %d closed triads vs %d triangles",
-			tri.Method, got, tri.Total)
+			"motif census disagrees with triangle count: %d closed triads vs %d triangles",
+			got, tri.Total)
 	}
 	return MotifResult{
-		Census:         census,
-		TriangleTotal:  tri.Total,
-		TriangleMethod: tri.Method,
-		Transitivity:   tri.Transitivity(),
+		Census:        census,
+		TriangleTotal: tri.Total,
+		Transitivity:  tri.Transitivity(),
 	}, nil
 }
 

@@ -156,9 +156,6 @@ func TestClusteringExactPathAndMotifs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.TriangleMethod == graph.TriangleAuto {
-		t.Fatal("motif result did not resolve the auto method")
-	}
 	if m.Census == nil || m.Census.Triangles() != m.TriangleTotal {
 		t.Fatalf("census triangles disagree with kernel total %d", m.TriangleTotal)
 	}

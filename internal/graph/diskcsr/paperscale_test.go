@@ -133,7 +133,7 @@ func TestPaperScale(t *testing.T) {
 	})
 	stage("mmap_wcc", stats.Edges, func() { wcc = graph.WCC(mapped, par) })
 	rssRow("rss_after_mmap_core")
-	stage("mmap_triangles", stats.Edges, func() { tri = graph.Triangles(mapped, graph.TriangleAuto, par) })
+	stage("mmap_triangles", stats.Edges, func() { tri = graph.Triangles(mapped, par) })
 	rssRow("rss_after_mmap_triangles")
 
 	// Stage 4: materialize and re-run in RAM; every result must match
@@ -155,7 +155,7 @@ func TestPaperScale(t *testing.T) {
 		if got := graph.WCC(g, par); !reflect.DeepEqual(got, wcc) {
 			t.Fatal("WCC diverges between mmap and RAM")
 		}
-		if got := graph.Triangles(g, graph.TriangleAuto, par); !reflect.DeepEqual(got, tri) {
+		if got := graph.Triangles(g, par); !reflect.DeepEqual(got, tri) {
 			t.Fatalf("triangles diverge: mmap %+v, RAM %+v", tri, got)
 		}
 	})

@@ -173,7 +173,7 @@ func TestKernelEquivalence(t *testing.T) {
 					return has
 				},
 				"TrianglesAndMotifs": func(v graph.View, par int) any {
-					tri, census := graph.TrianglesAndMotifs(v, graph.TriangleAuto, par)
+					tri, census := graph.TrianglesAndMotifs(v, par)
 					return []any{tri, census}
 				},
 				"InDegrees":         func(v graph.View, par int) any { return graph.InDegrees(v, par) },
@@ -185,7 +185,7 @@ func TestKernelEquivalence(t *testing.T) {
 				"AllReciprocities":  func(v graph.View, par int) any { return graph.AllReciprocities(v, par) },
 				"GlobalReciprocity": func(v graph.View, par int) any { return graph.GlobalReciprocity(v, par) },
 				"AllClustering":     func(v graph.View, par int) any { return graph.AllClustering(v, par) },
-				"Triangles":         func(v graph.View, par int) any { return graph.Triangles(v, graph.TriangleAuto, par) },
+				"Triangles":         func(v graph.View, par int) any { return graph.Triangles(v, par) },
 				"Motifs":            func(v graph.View, par int) any { return graph.Motifs(v, par) },
 				"SampleClustering": func(v graph.View, par int) any {
 					return graph.SampleClustering(v, 50, rand.New(rand.NewPCG(5, 6)), par)

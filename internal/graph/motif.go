@@ -7,7 +7,7 @@ import "sort"
 // standard M-A-N (mutual/asymmetric/null dyad) numbering. This is the
 // analysis of Schiöberg et al.'s follow-up study of directed triangle
 // motifs on the same crawl (see PAPERS.md); together with the exact
-// triangle kernels it replaces the sampled clustering pipeline's
+// triangle kernel it replaces the sampled clustering pipeline's
 // closed-triple estimates with exact counts.
 //
 // The algorithm is Batagelj–Mrvar-style subquadratic censusing: open

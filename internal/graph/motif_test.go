@@ -133,7 +133,7 @@ func TestMotifsCountsSumToTriples(t *testing.T) {
 		if want := choose3(n); sum != want {
 			t.Errorf("%s: class counts sum to %d, want C(%d,3) = %d", name, sum, n, want)
 		}
-		tri := Triangles(g, TriangleAuto, 4)
+		tri := Triangles(g, 4)
 		if got, want := m.ConnectedTriples(), tri.Wedges-2*tri.Total; got != want {
 			t.Errorf("%s: ConnectedTriples = %d, want wedges-2*triangles = %d", name, got, want)
 		}

@@ -56,11 +56,7 @@ func TestParallelDeterminism(t *testing.T) {
 				"AllClustering":      func(par int) any { return AllClustering(g, par) },
 				"ClusteringByDegree": func(par int) any { return ClusteringByDegree(g, par) },
 				"WedgeCount":         func(par int) any { return WedgeCount(g, par) },
-				"TrianglesBurkhardt": func(par int) any { return Triangles(g, TriangleBurkhardt, par) },
-				"TrianglesCohen":     func(par int) any { return Triangles(g, TriangleCohen, par) },
-				"TrianglesSandiaLL":  func(par int) any { return Triangles(g, TriangleSandiaLL, par) },
-				"TrianglesSandiaUU":  func(par int) any { return Triangles(g, TriangleSandiaUU, par) },
-				"TrianglesAuto":      func(par int) any { return Triangles(g, TriangleAuto, par) },
+				"Triangles":          func(par int) any { return Triangles(g, par) },
 				"Motifs":             func(par int) any { return Motifs(g, par) },
 			}
 			for algo, run := range runs {

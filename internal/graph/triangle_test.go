@@ -3,18 +3,15 @@ package graph
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
-var allTriangleMethods = []TriangleMethod{
-	TriangleBurkhardt, TriangleCohen, TriangleSandiaLL, TriangleSandiaUU,
-}
-
 // bruteTriangles counts triangles and per-node memberships in the
 // undirected projection by cubic enumeration — the independent oracle
-// every kernel must match.
+// the kernel must match.
 func bruteTriangles(g *Graph) (int64, []int64) {
 	n := g.NumNodes()
 	adj := make([]map[NodeID]bool, n)
@@ -50,45 +47,17 @@ func bruteTriangles(g *Graph) (int64, []int64) {
 func TestTrianglesAgainstBruteForce(t *testing.T) {
 	for name, g := range testGraphs() {
 		wantTotal, wantPer := bruteTriangles(g)
-		for _, m := range allTriangleMethods {
-			res := Triangles(g, m, 4)
-			if res.Method != m {
-				t.Fatalf("%s/%v: resolved method %v", name, m, res.Method)
-			}
-			if res.Total != wantTotal {
-				t.Errorf("%s/%v: Total = %d, want %d", name, m, res.Total, wantTotal)
-			}
-			if !reflect.DeepEqual(res.PerNode, wantPer) {
-				t.Errorf("%s/%v: PerNode = %v, want %v", name, m, res.PerNode, wantPer)
-			}
+		res := Triangles(g, 4)
+		if res.Total != wantTotal {
+			t.Errorf("%s: Total = %d, want %d", name, res.Total, wantTotal)
+		}
+		if !reflect.DeepEqual(res.PerNode, wantPer) {
+			t.Errorf("%s: PerNode = %v, want %v", name, res.PerNode, wantPer)
 		}
 	}
 }
 
-// TestTrianglesMethodsAgree is the cross-check matrix the issue asks
-// for: every method against every other, byte-identically, at P in
-// {1, 4, 16}, across the fuzz graph shapes.
-func TestTrianglesMethodsAgree(t *testing.T) {
-	for name, g := range testGraphs() {
-		var base *TriangleResult
-		for _, m := range allTriangleMethods {
-			for _, par := range []int{1, 4, 16} {
-				res := Triangles(g, m, par)
-				if base == nil {
-					base = res
-					continue
-				}
-				if res.Total != base.Total || res.Wedges != base.Wedges ||
-					!reflect.DeepEqual(res.PerNode, base.PerNode) {
-					t.Errorf("%s: %v at P=%d disagrees with %v: total %d vs %d",
-						name, m, par, base.Method, res.Total, base.Total)
-				}
-			}
-		}
-	}
-}
-
-// TestTrianglesMatchClusteringCoefficient ties the kernels to the
+// TestTrianglesMatchClusteringCoefficient ties the kernel to the
 // §3.3.3 pipeline: on a symmetrized graph, ClusteringCoefficient's
 // numerator counts each neighbor-pair edge twice (once per direction),
 // so PerNode[u] must equal clusteringLinks(sym, u)/2 and the
@@ -104,7 +73,7 @@ func TestTrianglesMatchClusteringCoefficient(t *testing.T) {
 			}
 		}
 		sym := b.Build()
-		res := Triangles(g, TriangleAuto, 4)
+		res := Triangles(g, 4)
 		for v := 0; v < n; v++ {
 			links := int64(new(clusterScratch).links(sym, NodeID(v)))
 			if links%2 != 0 {
@@ -132,45 +101,42 @@ func TestTrianglesQuickFuzz(t *testing.T) {
 		n := 2 + r.IntN(80)
 		g := randomGraph(n, 1+r.IntN(5*n), r)
 		wantTotal, wantPer := bruteTriangles(g)
-		for _, m := range allTriangleMethods {
-			res := Triangles(g, m, 1+r.IntN(8))
-			if res.Total != wantTotal || !reflect.DeepEqual(res.PerNode, wantPer) {
-				return false
-			}
-		}
-		return true
+		res := Triangles(g, 1+r.IntN(8))
+		return res.Total == wantTotal && reflect.DeepEqual(res.PerNode, wantPer)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestTriangleAutoResolves checks the selector picks a real kernel and
-// that its pick matches the documented shape rules on the extremes.
-func TestTriangleAutoResolves(t *testing.T) {
-	for name, g := range testGraphs() {
-		res := Triangles(g, TriangleAuto, 4)
-		if res.Method == TriangleAuto {
-			t.Errorf("%s: auto did not resolve", name)
+// TestTrianglesAllocsBounded gates the kernel's allocations at a
+// constant: the projection, orientation and tallies are a fixed number
+// of arrays plus a few per shard, so nothing may allocate per node or
+// per row.
+func TestTrianglesAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const maxAllocs = 128
+	for _, n := range []int{2000, 6000} {
+		// Random follows plus three hubs every node follows: heavy-tailed
+		// and wedge-heavy, like the crawl.
+		b := NewBuilder(n, 9*n)
+		rng := rand.New(rand.NewPCG(uint64(n), 3))
+		for v := range n {
+			for range 6 {
+				b.AddEdge(NodeID(v), NodeID(rng.IntN(n)))
+			}
+			for hub := range 3 {
+				b.AddEdge(NodeID(v), NodeID(hub))
+			}
 		}
-		wantTotal, _ := bruteTriangles(g)
-		if res.Total != wantTotal {
-			t.Errorf("%s: auto total = %d, want %d", name, res.Total, wantTotal)
+		g := b.Build()
+		for _, par := range []int{1, 4} {
+			if allocs := testing.AllocsPerRun(5, func() { Triangles(g, par) }); allocs > maxAllocs {
+				t.Errorf("n=%d P=%d: %v allocs per Triangles call, want <= %d", n, par, allocs, maxAllocs)
+			}
 		}
-	}
-	// Every test graph is wedge-light, so auto must take the probe
-	// kernel there; the skew/oriented branches are exercised directly.
-	small := testGraphs()["random"]
-	if m := Triangles(small, TriangleAuto, 2).Method; m != TriangleCohen {
-		t.Errorf("wedge-light graph resolved to %v, want cohen", m)
-	}
-	u := buildUndirected(small, 1, false)
-	if m := resolveTriangleMethod(u, cohenWedgeBudget+1); m != TriangleBurkhardt {
-		t.Errorf("low-skew graph past the wedge budget resolved to %v, want burkhardt", m)
-	}
-	star := buildUndirected(testGraphs()["star"], 1, false)
-	if m := resolveTriangleMethod(star, cohenWedgeBudget+1); m != TriangleSandiaLL {
-		t.Errorf("heavy-tailed graph past the wedge budget resolved to %v, want sandia-ll", m)
 	}
 }
 
@@ -184,14 +150,14 @@ func TestTriangleTransitivity(t *testing.T) {
 			}
 		}
 	}
-	res := Triangles(b.Build(), TriangleAuto, 2)
+	res := Triangles(b.Build(), 2)
 	if res.Total != 4 {
 		t.Fatalf("K4 triangles = %d, want 4", res.Total)
 	}
 	if tr := res.Transitivity(); tr != 1 {
 		t.Fatalf("K4 transitivity = %v, want 1", tr)
 	}
-	if tr := Triangles(testGraphs()["chain"], TriangleAuto, 2).Transitivity(); tr != 0 {
+	if tr := Triangles(testGraphs()["chain"], 2).Transitivity(); tr != 0 {
 		t.Fatalf("chain transitivity = %v, want 0", tr)
 	}
 }
@@ -222,7 +188,7 @@ func TestBuildUndirected(t *testing.T) {
 					if w == NodeID(v) {
 						t.Fatalf("%s: node %d self-loop in projection", name, v)
 					}
-					if !u.hasEdge(w, NodeID(v)) {
+					if _, ok := slices.BinarySearch(u.nbr(w), NodeID(v)); !ok {
 						t.Fatalf("%s: edge {%d,%d} not symmetric", name, v, w)
 					}
 					var want dyadKind

@@ -134,9 +134,8 @@ func Markdown(ctx context.Context, w io.Writer, s *core.Study) error {
 	// Directed triad motif census (Schiöberg et al. follow-up).
 	if c := results.Motifs.Census; c != nil {
 		fmt.Fprintf(w, "## Motif census — exact directed triads\n\n")
-		fmt.Fprintf(w, "%d triangles via the %s kernel; transitivity %.4f; %d mutual and %d one-way dyads.\n\n",
-			results.Motifs.TriangleTotal, results.Motifs.TriangleMethod,
-			results.Motifs.Transitivity, c.MutualDyads, c.AsymDyads)
+		fmt.Fprintf(w, "%d triangles; transitivity %.4f; %d mutual and %d one-way dyads.\n\n",
+			results.Motifs.TriangleTotal, results.Motifs.Transitivity, c.MutualDyads, c.AsymDyads)
 		fmt.Fprintf(w, "| Triad | Count | Kind |\n|---|---|---|\n")
 		for cls, n := range c.Counts {
 			tc := graph.TriadClass(cls)

@@ -157,8 +157,8 @@ func Fig4(w io.Writer, rec core.ReciprocityResult, cl core.ClusteringResult, scc
 // Motifs renders the exact triangle count and the 16-class directed
 // triad census, most common classes first among the connected ones.
 func Motifs(w io.Writer, m core.MotifResult) {
-	fmt.Fprintf(w, "Motifs: %d triangles (%s kernel), transitivity %.4f\n",
-		m.TriangleTotal, m.TriangleMethod, m.Transitivity)
+	fmt.Fprintf(w, "Motifs: %d triangles, transitivity %.4f\n",
+		m.TriangleTotal, m.Transitivity)
 	c := m.Census
 	if c == nil {
 		fmt.Fprintln(w, "  (no census)")
